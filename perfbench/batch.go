@@ -30,6 +30,7 @@ type trialOut struct {
 // per core until the run's time is up, and verifies every trial.
 func runBatch(ctx context.Context, cfg config, deck []deckEntry, tr *tracer) (*outcome, error) {
 	out := newOutcome(0.75)
+	out.balanced = true
 	setup, err := batchSetup(cfg)
 	if err != nil {
 		return nil, err
@@ -160,7 +161,7 @@ func heapAllocBytes() float64 {
 
 // setupRepeats is how many times a run repeats its set-up; setup_s is
 // the median.
-const setupRepeats = 9
+const setupRepeats = 21
 
 // batchSetup times the batch program from process start to the moment
 // its first trial could start: the benchmark re-executes itself in

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -38,6 +39,7 @@ func (c config) cluster() bool { return c.workload == "cluster" }
 // outcome is what a workload measured.
 type outcome struct {
 	tailQ     float64 // the tail percentile reported as tail_ms
+	balanced  bool    // p50_ms weighs every class alike (batch workloads)
 	attempted int64
 	verified  int64
 	failed    int64
@@ -59,6 +61,26 @@ func newOutcome(tailQ float64) *outcome {
 func (o *outcome) latency(class string, ms float64) {
 	o.lat = append(o.lat, ms)
 	o.byClass[class] = append(o.byClass[class], ms)
+}
+
+// p50 is the typical operation latency. On serving workloads it is the
+// p50 of all operations; the mix puts it inside one class. A batch deck
+// has no such class: its pooled p50 sits between two classes and moves
+// with the deck, and the slowest class has too few trials for a median of
+// its own. There it is the geometric mean over classes of each class's
+// geometric-mean latency, so every class weighs alike.
+func (o *outcome) p50() (float64, error) {
+	if !o.balanced {
+		return percentile(o.lat, 0.5)
+	}
+	if len(o.byClass) == 0 {
+		return 0, fmt.Errorf("p50: no operations")
+	}
+	var logs float64
+	for _, ms := range o.byClass {
+		logs += math.Log(geoMean(ms))
+	}
+	return math.Exp(logs / float64(len(o.byClass))), nil
 }
 
 // record counts one attempted operation by its verdict.
@@ -127,7 +149,7 @@ var layerUnits = map[string]string{
 
 // endToEnd turns an untraced outcome into the end-to-end metrics.
 func (o *outcome) endToEnd() (map[string]metric, error) {
-	p50, err := percentile(o.lat, 0.5)
+	p50, err := o.p50()
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +171,7 @@ func (o *outcome) endToEnd() (map[string]metric, error) {
 // end-to-end figures ride along as traced.*; their difference from an
 // untraced run of the same seed is the tracing overhead.
 func (o *outcome) perLayer(h *hostInfo) (map[string]metric, error) {
-	p50, err := percentile(o.lat, 0.5)
+	p50, err := o.p50()
 	if err != nil {
 		return nil, err
 	}

@@ -78,6 +78,28 @@ func TestPercentileNeedsTenSamplesBeyond(t *testing.T) {
 	}
 }
 
+func TestBalancedP50WeighsClassesAlike(t *testing.T) {
+	o := newOutcome(0.75)
+	o.balanced = true
+	// Nine fast trials and one slow one: the pooled median is fast, the
+	// balanced figure sits between the classes whatever their counts.
+	for i := 0; i < 9; i++ {
+		o.latency("fast", 10)
+	}
+	o.latency("slow", 1000)
+	v, err := o.p50()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(v-100) > 1e-9 {
+		t.Errorf("balanced p50 = %v, want 100", v)
+	}
+	o.latency("fast", 10)
+	if w, _ := o.p50(); math.Abs(w-v) > 1e-9 {
+		t.Errorf("balanced p50 moved with the class count: %v -> %v", v, w)
+	}
+}
+
 // genuine runs a small job in-process and returns its normalized job and
 // canonical Result bytes.
 func genuine(t *testing.T, j job.Job) (job.Job, []byte) {

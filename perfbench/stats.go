@@ -44,6 +44,15 @@ func median(xs []float64) float64 {
 	return (s[m-1] + s[m]) / 2
 }
 
+// geoMean is the geometric mean of positive xs.
+func geoMean(xs []float64) float64 {
+	var logs float64
+	for _, x := range xs {
+		logs += math.Log(x)
+	}
+	return math.Exp(logs / float64(len(xs)))
+}
+
 // ratio is a/b, or 0 when the workload did no b (a layer it does not
 // exercise).
 func ratio(a, b float64) float64 {
