@@ -33,8 +33,8 @@ type Memento[S comparable] struct {
 
 // Memento captures the current exploration state. The explorer remains
 // usable; the memento shares nothing with it.
-func (e *Explorer[S]) Memento() Memento[S] {
-	m := Memento[S]{
+func (e *Explorer[S]) Memento() *Memento[S] {
+	m := &Memento[S]{
 		N:        e.n,
 		Profiled: e.profiled,
 		Starved:  e.starved,
@@ -66,7 +66,7 @@ func (e *Explorer[S]) Memento() Memento[S] {
 // shapes the graph — carry the same profile state the memento was taken
 // under (ApplyProfile before RestoreMemento, mirroring the other
 // engines' build-then-restore order).
-func (e *Explorer[S]) RestoreMemento(m Memento[S]) error {
+func (e *Explorer[S]) RestoreMemento(m *Memento[S]) error {
 	if m.N != e.n {
 		return fmt.Errorf("check: memento population %d does not match explorer population %d", m.N, e.n)
 	}

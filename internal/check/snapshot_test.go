@@ -53,7 +53,7 @@ func TestMementoResumeByteIdentical(t *testing.T) {
 	}
 
 	b := check.New(64, haltProto{}, check.Options{CheckEvery: 16})
-	if err := b.RestoreMemento(m2); err != nil {
+	if err := b.RestoreMemento(&m2); err != nil {
 		t.Fatalf("RestoreMemento: %v", err)
 	}
 	if b.Expanded() != a.Expanded() || b.Configs() != a.Configs() {

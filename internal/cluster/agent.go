@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net/http"
 	"time"
 )
@@ -31,8 +31,6 @@ type Agent struct {
 	Heartbeat time.Duration
 	// Client makes the calls; nil means a 10s-timeout client.
 	Client *http.Client
-	// Logf receives operational log lines; nil means log.Printf.
-	Logf func(format string, v ...any)
 }
 
 // Run registers and heartbeats until ctx is canceled. Registration
@@ -40,10 +38,6 @@ type Agent struct {
 // a worker keeps serving its standalone API regardless, so the only
 // correct agent behavior is persistence.
 func (a *Agent) Run(ctx context.Context) {
-	logf := a.Logf
-	if logf == nil {
-		logf = log.Printf
-	}
 	client := a.Client
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
@@ -51,24 +45,24 @@ func (a *Agent) Run(ctx context.Context) {
 	for ctx.Err() == nil {
 		every, err := a.register(ctx, client)
 		if err != nil {
-			logf("cluster: register with %s failed: %v (retrying)", a.Coordinator, err)
+			slog.Warn("cluster: register failed, retrying", "coordinator", a.Coordinator, "node", a.Name, "err", err)
 			if !sleepCtx(ctx, a.retryDelay()) {
 				return
 			}
 			continue
 		}
-		logf("cluster: registered with %s as %s (heartbeat every %v)", a.Coordinator, a.Name, every)
+		slog.Info("cluster: registered", "coordinator", a.Coordinator, "node", a.Name, "heartbeat", every)
 		for ctx.Err() == nil {
 			if !sleepCtx(ctx, every) {
 				return
 			}
 			code, err := a.beat(ctx, client)
 			if err != nil {
-				logf("cluster: heartbeat failed: %v (retrying)", err)
+				slog.Warn("cluster: heartbeat failed, retrying", "node", a.Name, "err", err)
 				continue
 			}
 			if code == http.StatusNotFound {
-				logf("cluster: coordinator forgot us; re-registering")
+				slog.Info("cluster: coordinator forgot us, re-registering", "node", a.Name)
 				break
 			}
 		}

@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strings"
@@ -15,7 +18,6 @@ import (
 
 	"shapesol/internal/job"
 	"shapesol/internal/server"
-	"shapesol/internal/snap"
 )
 
 // Config parameterizes a Coordinator. The zero value is usable: Default
@@ -33,8 +35,7 @@ type Config struct {
 	// over to survivors. Values < 1 mean 3.
 	MissBudget int
 	// PullEvery is the maintenance cadence: death sweep, pending-job
-	// reassignment, and the status/checkpoint mirror of running jobs.
-	// 0 means 1s.
+	// reassignment, and the checkpoint mirror of running jobs. 0 means 1s.
 	PullEvery time.Duration
 	// CacheSize bounds the coordinator's LRU result cache fronting the
 	// workers' own caches; 0 means 256, negative disables.
@@ -48,14 +49,9 @@ type Config struct {
 	// Client makes the unary proxy calls; nil means a 30s-timeout client.
 	// Event streams use a dedicated timeout-free client regardless.
 	Client *http.Client
-	// Logf receives operational log lines; nil means log.Printf.
-	Logf func(format string, v ...any)
 }
 
 func (c Config) withDefaults() Config {
-	if c.Registry == nil {
-		c.Registry = job.Default
-	}
 	if c.HeartbeatEvery == 0 {
 		c.HeartbeatEvery = 2 * time.Second
 	}
@@ -65,147 +61,67 @@ func (c Config) withDefaults() Config {
 	if c.PullEvery == 0 {
 		c.PullEvery = time.Second
 	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 256
-	}
-	if c.MaxJobs < 1 {
-		c.MaxJobs = 4096
-	}
 	if c.VNodes < 1 {
 		c.VNodes = 64
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 30 * time.Second}
 	}
-	if c.Logf == nil {
-		c.Logf = log.Printf
-	}
 	return c
 }
 
 // node is the coordinator's view of one registered worker.
 type node struct {
-	name       string
-	url        string
-	alive      bool
-	lastBeat   time.Time
-	registered time.Time
+	name     string
+	url      string
+	alive    bool
+	lastBeat time.Time
 }
 
-// record is the coordinator's view of one submitted job: where it lives,
-// what is known about its state, and the material needed to move it — the
-// normalized submission body for a from-scratch restart and the latest
-// mirrored checkpoint for a resume-where-it-left-off handoff.
-type record struct {
-	id       string
-	key      string
-	body     []byte // normalized job JSON (fresh (re)submission payload)
-	protocol string
-	engine   job.Engine
-	seed     int64
-
+// placement is the coordinator's per-job state, kept as the job's
+// server.Entry Ext: where the job lives and the latest checkpoint needed
+// to move it on a failover.
+type placement struct {
 	mu       sync.Mutex
 	node     string // owning node name; "" while unassigned
 	remoteID string // the job's id on the owning worker
-	// pending marks an orphaned record awaiting reassignment. Only
-	// failover sets it: a record mid-admission also has node == "" but
-	// must not be grabbed by the maintenance loop's reassignment pass
-	// while the submit handler is still placing it.
-	pending      bool
-	state        server.State
-	resumed      bool
-	cached       bool
-	userCanceled bool
-	steps        int64
-	errMsg       string
-	// trace is the job's coordinator-side lifecycle span events, in
-	// recording order (see trace.go).
-	trace     []server.TraceEvent
-	result    *job.Result
-	resultRaw []byte // the owner's raw /result bytes (golden-pinned form)
-	snapshot  []byte // latest mirrored checkpoint, or the uploaded resume snapshot
+	// pending marks an orphan waiting for reassignment. A job mid-admission
+	// or mid-reassignment also has node == "" but pending false, so the
+	// maintenance loop does not place it twice.
+	pending  bool
+	snapshot []byte // latest mirrored checkpoint, or the uploaded resume snapshot
 }
 
-func (rec *record) status() server.Status {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	return rec.statusLocked()
+func placementOf(e *server.Entry) *placement {
+	p, _ := e.Ext().(*placement)
+	return p
 }
 
-func (rec *record) statusLocked() server.Status {
-	st := server.Status{
-		ID:       rec.id,
-		Protocol: rec.protocol,
-		Engine:   rec.engine,
-		Seed:     rec.seed,
-		State:    rec.state,
-		Cached:   rec.cached,
-		Resumed:  rec.resumed,
-		Steps:    rec.steps,
-		Error:    rec.errMsg,
-		Result:   rec.result,
-	}
-	if rec.result != nil {
-		st.Steps = rec.result.Steps
-	}
-	return st
-}
-
-// applyStatus folds a Status fetched from the owning worker into the
-// record (the id is the worker's; the record keeps its own). It reports
-// whether this call settled the record, so the caller can trace the
-// settlement exactly once.
-func (rec *record) applyStatus(st server.Status) (settled bool) {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if rec.state.Terminal() {
-		return false
-	}
-	rec.state = st.State
-	rec.steps = st.Steps
-	if st.Resumed {
-		rec.resumed = true
-	}
-	if st.Cached {
-		rec.cached = true
-	}
-	if st.State.Terminal() {
-		rec.result = st.Result
-		rec.errMsg = st.Error
-		return true
-	}
-	return false
-}
-
-// Coordinator fronts a fleet of shapesold workers behind the standalone
-// daemon's /v1 API: it validates and routes submissions by cache key
-// over a consistent-hash ring, proxies per-job reads to the owning
-// worker, mirrors running jobs' checkpoints, and on worker death
+// Coordinator fronts a fleet of shapesold workers with the standalone
+// daemon's /v1 front end and a remote executor: it routes submissions by
+// cache key over a consistent-hash ring, relays each job's event stream
+// from its owner, mirrors running jobs' checkpoints, and on worker death
 // re-enqueues the lost jobs on survivors from their latest checkpoint.
 // Create with New, serve via ServeHTTP, stop with Shutdown.
 type Coordinator struct {
 	cfg     Config
-	reg     *job.Registry
-	mux     *http.ServeMux
+	front   *server.Front
 	client  *http.Client
 	stream  *http.Client
-	cache   *resultCache
 	metrics *clusterMetrics
 
 	// lastMirror is the UnixNano stamp of the last completed mirror
 	// pass, read by the shapesol_cluster_mirror_lag_seconds gauge.
 	lastMirror atomic.Int64
 
-	mu    sync.Mutex // guards nodes, ring, jobs, order, seq
+	mu    sync.Mutex // guards nodes, ring, and goroutine starts against ctx
 	nodes map[string]*node
 	ring  *Ring
-	jobs  map[string]*record
-	order []string
-	seq   int64
 
-	draining atomic.Bool
-	done     chan struct{}
-	wg       sync.WaitGroup
+	// ctx ends the maintenance loop and every event relay at Shutdown.
+	ctx  context.Context
+	stop context.CancelFunc
+	wg   sync.WaitGroup
 }
 
 // New builds a Coordinator and starts its maintenance loop (death sweep,
@@ -214,27 +130,23 @@ func New(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:    cfg,
-		reg:    cfg.Registry,
-		mux:    http.NewServeMux(),
 		client: cfg.Client,
 		stream: &http.Client{},
-		cache:  newResultCache(cfg.CacheSize),
 		nodes:  make(map[string]*node),
 		ring:   NewRing(cfg.VNodes),
-		jobs:   make(map[string]*record),
-		done:   make(chan struct{}),
 	}
+	c.ctx, c.stop = context.WithCancel(context.Background())
+	c.front = server.NewFront(cfg.Registry, cfg.CacheSize, cfg.MaxJobs, "c", "coordinator", c)
 	c.metrics = newClusterMetrics(c)
 	for _, rt := range c.routes() {
-		c.mux.HandleFunc(rt.pattern, c.metrics.instrument(rt.pattern, rt.handler))
+		c.front.Handle(rt.pattern, rt.handler)
 	}
-	c.wg.Add(1)
-	go c.maintain()
+	c.spawn(c.maintain)
 	return c
 }
 
-// route mirrors internal/server's single-source route table; Routes
-// exposes the patterns for the API.md coverage test.
+// route is one membership route; Routes exposes the patterns for the
+// API.md coverage test.
 type route struct {
 	pattern string
 	handler http.HandlerFunc
@@ -245,46 +157,48 @@ func (c *Coordinator) routes() []route {
 		{"POST /v1/cluster/register", c.handleRegister},
 		{"POST /v1/cluster/heartbeat", c.handleHeartbeat},
 		{"GET /v1/cluster/nodes", c.handleNodes},
-		{"POST /v1/jobs", c.handleSubmit},
-		{"POST /v1/jobs/resume", c.handleResume},
-		{"GET /v1/jobs", c.handleList},
-		{"GET /v1/jobs/{id}", c.handleStatus},
-		{"GET /v1/jobs/{id}/result", c.handleResult},
-		{"GET /v1/jobs/{id}/snapshot", c.handleSnapshot},
-		{"DELETE /v1/jobs/{id}", c.handleCancel},
-		{"GET /v1/jobs/{id}/events", c.handleEvents},
-		{"GET /v1/jobs/{id}/trace", c.handleTrace},
-		{"GET /v1/protocols", c.handleProtocols},
-		{"GET /healthz", c.handleHealth},
-		{"GET /metrics", c.handleMetrics},
 	}
 }
 
 // Routes returns the mux patterns of every endpoint a Coordinator
-// registers, in registration order.
+// registers: its membership routes, then the shared job API.
 func Routes() []string {
 	var c *Coordinator // handlers are method values, never invoked here
-	rts := c.routes()
-	out := make([]string, len(rts))
-	for i, rt := range rts {
-		out[i] = rt.pattern
+	var out []string
+	for _, rt := range c.routes() {
+		out = append(out, rt.pattern)
 	}
-	return out
+	return append(out, server.Routes()...)
 }
 
 // ServeHTTP dispatches to the coordinator's routes.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	c.mux.ServeHTTP(w, r)
+	c.front.ServeHTTP(w, r)
 }
 
-// Shutdown stops the maintenance loop and rejects new submissions.
-// Workers drain themselves; their jobs keep running.
+// Shutdown rejects new submissions and stops the maintenance loop and
+// the event relays. Workers drain themselves; their jobs keep running.
 func (c *Coordinator) Shutdown() {
-	if c.draining.Swap(true) {
+	c.front.Drain()
+	c.mu.Lock()
+	c.stop()
+	c.mu.Unlock()
+	c.wg.Wait()
+}
+
+// spawn runs fn on a goroutine Shutdown waits for, unless Shutdown
+// already began.
+func (c *Coordinator) spawn(fn func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ctx.Err() != nil {
 		return
 	}
-	close(c.done)
-	c.wg.Wait()
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		fn()
+	}()
 }
 
 // ---------------------------------------------------------------------
@@ -326,7 +240,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	n, known := c.nodes[req.Name]
 	if !known {
-		n = &node{name: req.Name, registered: now}
+		n = &node{name: req.Name}
 		c.nodes[req.Name] = n
 	}
 	n.url = strings.TrimRight(req.URL, "/")
@@ -335,11 +249,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	c.ring.Add(req.Name)
 	members := c.ring.Len()
 	c.mu.Unlock()
-	if known {
-		c.cfg.Logf("cluster: worker %s re-registered at %s (%d in ring)", req.Name, req.URL, members)
-	} else {
-		c.cfg.Logf("cluster: worker %s joined at %s (%d in ring)", req.Name, req.URL, members)
-	}
+	slog.Info("cluster: worker registered", "node", req.Name, "url", req.URL, "rejoined", known, "ring", members)
 	server.WriteJSON(w, http.StatusOK, registerResponse{
 		Name:        req.Name,
 		HeartbeatMS: c.cfg.HeartbeatEvery.Milliseconds(),
@@ -399,29 +309,21 @@ type NodeJob struct {
 }
 
 func (c *Coordinator) handleNodes(w http.ResponseWriter, r *http.Request) {
+	byNode := make(map[string][]NodeJob)
+	for _, e := range c.front.Entries() {
+		if p := placementOf(e); p != nil {
+			p.mu.Lock()
+			name, snapshot := p.node, p.snapshot != nil
+			p.mu.Unlock()
+			if name != "" {
+				byNode[name] = append(byNode[name], NodeJob{ID: e.ID(), State: e.Status().State, Snapshot: snapshot})
+			}
+		}
+	}
 	now := time.Now()
 	c.mu.Lock()
-	nodes := make([]*node, 0, len(c.nodes))
+	out := make([]NodeStatus, 0, len(c.nodes))
 	for _, n := range c.nodes {
-		nodes = append(nodes, n)
-	}
-	recs := c.recordsLocked()
-	c.mu.Unlock()
-
-	byNode := make(map[string][]NodeJob)
-	for _, rec := range recs {
-		rec.mu.Lock()
-		if rec.node != "" {
-			byNode[rec.node] = append(byNode[rec.node], NodeJob{
-				ID:       rec.id,
-				State:    rec.state,
-				Snapshot: rec.snapshot != nil,
-			})
-		}
-		rec.mu.Unlock()
-	}
-	out := make([]NodeStatus, 0, len(nodes))
-	for _, n := range nodes {
 		out = append(out, NodeStatus{
 			Name:               n.name,
 			URL:                n.url,
@@ -430,224 +332,52 @@ func (c *Coordinator) handleNodes(w http.ResponseWriter, r *http.Request) {
 			Jobs:               byNode[n.name],
 		})
 	}
+	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // ---------------------------------------------------------------------
-// Submission and routing.
+// The remote executor: placement, relay, cancel, snapshot.
 
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if c.draining.Load() {
-		server.WriteError(w, http.StatusServiceUnavailable, "coordinator draining")
-		return
+// Start places an admitted entry on the ring owner of its cache key and
+// starts its event relay. The uploaded snapshot of a resume admission is
+// kept as the job's handoff state, so a worker death before the first
+// mirrored checkpoint still resumes from it rather than from scratch.
+func (c *Coordinator) Start(e *server.Entry, snapshot []byte) error {
+	p := &placement{snapshot: snapshot}
+	e.SetExt(p)
+	c.front.TraceSubmitted(e)
+	if err := c.place(e, p, snapshot); err != nil {
+		return err
 	}
-	var j job.Job
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&j); err != nil {
-		server.WriteError(w, http.StatusBadRequest, "bad job JSON: "+err.Error())
-		return
+	if !e.Status().State.Terminal() {
+		c.spawn(func() { c.relay(e, p) })
 	}
-	nj, _, err := c.reg.Normalize(j)
-	if err != nil {
-		server.WriteValidationError(w, err)
-		return
-	}
-	key := nj.CacheKey()
-	if res, raw, ok := c.cache.Get(key); ok {
-		rec := c.newRecord(nj, key, nil)
-		rec.mu.Lock()
-		rec.state = server.StateDone
-		rec.cached = true
-		rec.result = &res
-		rec.resultRaw = raw
-		rec.mu.Unlock()
-		c.traceEvent(rec, server.TraceCacheHit, "coordinator cache", 0)
-		c.traceEvent(rec, server.TraceSettled, string(server.StateDone), res.Steps)
-		server.WriteJSON(w, http.StatusOK, rec.status())
-		return
-	}
-	body, err := json.Marshal(nj)
-	if err != nil {
-		server.WriteError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	rec := c.newRecord(nj, key, body)
-	c.placeAndRespond(w, rec, nil)
+	return nil
 }
 
-// handleResume admits snapshot bytes cluster-wide: the embedded job is
-// validated and routed by its cache key like any submission, and the
-// snapshot itself is kept as the record's handoff state, so a worker
-// death before the first mirrored checkpoint still resumes from the
-// uploaded bytes rather than from scratch.
-func (c *Coordinator) handleResume(w http.ResponseWriter, r *http.Request) {
-	if c.draining.Load() {
-		server.WriteError(w, http.StatusServiceUnavailable, "coordinator draining")
-		return
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 256<<20))
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, "read snapshot: "+err.Error())
-		return
-	}
-	snapshot, err := snap.Decode(data)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	nj, _, err := c.reg.ResumeJob(snapshot)
-	if err != nil {
-		server.WriteValidationError(w, err)
-		return
-	}
-	key := nj.CacheKey()
-	if res, raw, ok := c.cache.Get(key); ok {
-		rec := c.newRecord(nj, key, nil)
-		rec.mu.Lock()
-		rec.state = server.StateDone
-		rec.cached = true
-		rec.resumed = true
-		rec.result = &res
-		rec.resultRaw = raw
-		rec.mu.Unlock()
-		c.traceEvent(rec, server.TraceCacheHit, "coordinator cache", 0)
-		c.traceEvent(rec, server.TraceSettled, string(server.StateDone), res.Steps)
-		server.WriteJSON(w, http.StatusOK, rec.status())
-		return
-	}
-	body, err := json.Marshal(nj)
-	if err != nil {
-		server.WriteError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	rec := c.newRecord(nj, key, body)
-	rec.mu.Lock()
-	rec.resumed = true
-	rec.snapshot = data
-	rec.mu.Unlock()
-	c.placeAndRespond(w, rec, data)
-}
-
-// newRecord registers a fresh record under the next coordinator id.
-func (c *Coordinator) newRecord(nj job.Job, key string, body []byte) *record {
-	c.mu.Lock()
-	c.seq++
-	rec := &record{
-		id:       fmt.Sprintf("c%d", c.seq),
-		key:      key,
-		body:     body,
-		protocol: nj.Protocol,
-		engine:   nj.Engine,
-		seed:     nj.Seed,
-		state:    server.StateQueued,
-	}
-	c.jobs[rec.id] = rec
-	c.order = append(c.order, rec.id)
-	c.pruneLocked()
-	c.mu.Unlock()
-	c.traceEvent(rec, server.TraceSubmitted, string(nj.Engine)+" "+nj.Protocol, 0)
-	return rec
-}
-
-// pruneLocked evicts oldest-first terminal records beyond MaxJobs.
-func (c *Coordinator) pruneLocked() {
-	if len(c.jobs) <= c.cfg.MaxJobs {
-		return
-	}
-	kept := c.order[:0]
-	for i, id := range c.order {
-		rec := c.jobs[id]
-		if len(c.jobs) > c.cfg.MaxJobs && rec.status().State.Terminal() {
-			delete(c.jobs, id)
-			continue
-		}
-		if len(c.jobs) <= c.cfg.MaxJobs {
-			kept = append(kept, c.order[i:]...)
-			break
-		}
-		kept = append(kept, id)
-	}
-	c.order = kept
-}
-
-// removeRecord forgets a record whose id was never exposed (placement
-// failed at admission time).
-func (c *Coordinator) removeRecord(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.jobs[id]; !ok {
-		return
-	}
-	delete(c.jobs, id)
-	for i, have := range c.order {
-		if have == id {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-}
-
-func (c *Coordinator) recordsLocked() []*record {
-	out := make([]*record, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.jobs[id])
-	}
-	return out
-}
-
-func (c *Coordinator) records() []*record {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.recordsLocked()
-}
-
-// placeAndRespond routes a just-admitted record and writes the outcome:
-// the worker's own admission code (202 accepted, 200 cache hit on the
-// worker) with the Status rewritten to the coordinator id, a raw
-// passthrough of a worker-side rejection (503 queue full), or 503 when
-// no live worker can take the job.
-func (c *Coordinator) placeAndRespond(w http.ResponseWriter, rec *record, resumeData []byte) {
-	code, errBody, err := c.place(rec, resumeData)
-	if err != nil {
-		c.removeRecord(rec.id)
-		server.WriteError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	if errBody != nil {
-		c.removeRecord(rec.id)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		w.Write(errBody) //nolint:errcheck // nothing to do about a failed response write
-		return
-	}
-	server.WriteJSON(w, code, rec.status())
-}
-
-// place forwards the record to the ring owner of its cache key,
-// walking past nodes that turn out unreachable (each such discovery
-// marks the node dead, which fails its other jobs over too). resumeData
-// non-nil sends POST /v1/jobs/resume with the snapshot bytes; nil sends
-// the record's normalized-job body to POST /v1/jobs. On success the
-// record's owner fields are updated and the worker's admission code is
-// returned; a worker-side rejection is returned as (code, body); err is
-// reserved for "no live worker could take it".
-func (c *Coordinator) place(rec *record, resumeData []byte) (int, []byte, error) {
+// place forwards the job to the ring owner of its cache key, walking past
+// nodes that turn out unreachable (each such discovery marks the node
+// dead, which fails its other jobs over too). resumeData non-nil sends
+// POST /v1/jobs/resume with the snapshot bytes; nil sends the normalized
+// job to POST /v1/jobs. A worker's rejection comes back as a
+// *server.Refusal carrying its answer.
+func (c *Coordinator) place(e *server.Entry, p *placement, resumeData []byte) error {
 	tried := make(map[string]bool)
 	for {
 		c.mu.Lock()
-		owner := c.ring.Owner(rec.key)
+		owner := c.ring.Owner(e.Key())
 		var ownerURL string
 		if owner != "" {
 			ownerURL = c.nodes[owner].url
 		}
 		c.mu.Unlock()
 		if owner == "" {
-			return 0, nil, fmt.Errorf("no live workers")
+			return errors.New("no live workers")
 		}
 		if tried[owner] {
-			return 0, nil, fmt.Errorf("no live worker accepted the job")
+			return errors.New("no live worker accepted the job")
 		}
 		tried[owner] = true
 
@@ -656,7 +386,11 @@ func (c *Coordinator) place(rec *record, resumeData []byte) (int, []byte, error)
 		if resumeData != nil {
 			resp, err = c.client.Post(ownerURL+"/v1/jobs/resume", "application/octet-stream", bytes.NewReader(resumeData))
 		} else {
-			resp, err = c.client.Post(ownerURL+"/v1/jobs", "application/json", bytes.NewReader(rec.body))
+			body, merr := json.Marshal(e.Job())
+			if merr != nil {
+				return merr
+			}
+			resp, err = c.client.Post(ownerURL+"/v1/jobs", "application/json", bytes.NewReader(body))
 		}
 		if err != nil {
 			c.failNode(owner, "unreachable: "+err.Error())
@@ -669,49 +403,41 @@ func (c *Coordinator) place(rec *record, resumeData []byte) (int, []byte, error)
 			continue
 		}
 		if resp.StatusCode >= 300 {
-			return resp.StatusCode, body, nil
+			rf := &server.Refusal{Code: resp.StatusCode}
+			if json.Unmarshal(body, &rf.Body) != nil || rf.Body.Error == "" {
+				rf.Body = server.ErrorBody{Error: strings.TrimSpace(string(body))}
+			}
+			return rf
 		}
 		var st server.Status
 		if err := json.Unmarshal(body, &st); err != nil {
-			return 0, nil, fmt.Errorf("bad status from worker %s: %w", owner, err)
+			return fmt.Errorf("bad status from worker %s: %w", owner, err)
 		}
-		rec.mu.Lock()
-		rec.node = owner
-		rec.remoteID = st.ID
-		rec.pending = false
-		rec.mu.Unlock()
-		c.traceEvent(rec, TraceRouted, owner, 0)
-		if rec.applyStatus(st) {
-			c.traceEvent(rec, server.TraceSettled, string(st.State), st.Steps)
+		// Assign under c.mu, which failNode holds while it collects a dead
+		// node's orphans: an owner that died during the POST leaves the job
+		// pending for the maintenance loop instead of assigned to a corpse.
+		c.mu.Lock()
+		p.mu.Lock()
+		p.node, p.remoteID = owner, st.ID
+		if n := c.nodes[owner]; n == nil || !n.alive {
+			p.node, p.remoteID, p.pending = "", "", true
 		}
-		if st.State == server.StateDone && st.Result != nil {
-			// A cache hit on the worker: remember it coordinator-side too
-			// (raw bytes arrive with the first /result proxy).
-			c.cache.Put(rec.key, *st.Result, nil)
-		}
-		return resp.StatusCode, nil, nil
+		p.mu.Unlock()
+		c.mu.Unlock()
+		c.front.Trace(e, TraceRouted, owner, 0)
+		c.front.Apply(e, st)
+		return nil
 	}
 }
 
-// ---------------------------------------------------------------------
-// Per-job proxying.
-
-func (c *Coordinator) recordFor(w http.ResponseWriter, r *http.Request) (*record, bool) {
-	c.mu.Lock()
-	rec, ok := c.jobs[r.PathValue("id")]
-	c.mu.Unlock()
-	if !ok {
-		server.WriteError(w, http.StatusNotFound, "no such job "+r.PathValue("id"))
-		return nil, false
+// owner returns the job's current worker URL and id there.
+func (c *Coordinator) owner(p *placement) (url, remoteID string, ok bool) {
+	if p == nil {
+		return "", "", false
 	}
-	return rec, true
-}
-
-// owner returns the record's current assignment and the node's URL.
-func (c *Coordinator) owner(rec *record) (name, url string, ok bool) {
-	rec.mu.Lock()
-	name = rec.node
-	rec.mu.Unlock()
+	p.mu.Lock()
+	name, remoteID := p.node, p.remoteID
+	p.mu.Unlock()
 	if name == "" {
 		return "", "", false
 	}
@@ -721,391 +447,145 @@ func (c *Coordinator) owner(rec *record) (name, url string, ok bool) {
 	if !have {
 		return "", "", false
 	}
-	return name, n.url, true
+	return n.url, remoteID, true
 }
 
-// refresh polls the owning worker for the record's Status and folds it
-// in (fetching the raw result bytes on completion). Best-effort: on any
-// failure the record keeps its last known state.
-func (c *Coordinator) refresh(rec *record) {
-	if rec.status().State.Terminal() {
-		return
-	}
-	_, url, ok := c.owner(rec)
-	if !ok {
-		return
-	}
-	rec.mu.Lock()
-	remoteID := rec.remoteID
-	rec.mu.Unlock()
-	resp, err := c.client.Get(url + "/v1/jobs/" + remoteID)
+// get fetches url, failing unless the answer is a 200.
+func (c *Coordinator) get(url string) ([]byte, error) {
+	resp, err := c.client.Get(url)
 	if err != nil {
-		return
+		return nil, err
 	}
+	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("GET %s: HTTP %d", url, resp.StatusCode)
 	}
-	var st server.Status
-	if err := json.Unmarshal(body, &st); err != nil {
-		return
-	}
-	if rec.applyStatus(st) {
-		c.traceEvent(rec, server.TraceSettled, string(st.State), st.Steps)
-	}
-	if st.State == server.StateDone {
-		c.mirrorResult(rec, url, remoteID)
-	}
+	return body, err
 }
 
-// mirrorResult pulls the owner's raw /result bytes — the golden-pinned
-// envelope form — into the record and the coordinator cache.
-func (c *Coordinator) mirrorResult(rec *record, url, remoteID string) {
-	rec.mu.Lock()
-	have := rec.resultRaw != nil
-	rec.mu.Unlock()
-	if have {
-		return
-	}
-	resp, err := c.client.Get(url + "/v1/jobs/" + remoteID + "/result")
-	if err != nil {
-		return
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return
-	}
-	var res job.Result
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return
-	}
-	rec.mu.Lock()
-	rec.resultRaw = raw
-	if rec.result == nil {
-		rec.result = &res
-	}
-	rec.mu.Unlock()
-	c.cache.Put(rec.key, res, raw)
-}
-
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	rec, ok := c.recordFor(w, r)
-	if !ok {
-		return
-	}
-	c.refresh(rec)
-	server.WriteJSON(w, http.StatusOK, rec.status())
-}
-
-func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	recs := c.records()
-	out := make([]server.Status, len(recs))
-	for i, rec := range recs {
-		out[i] = rec.status()
-	}
-	server.WriteJSON(w, http.StatusOK, out)
-}
-
-// handleResult serves the bare Result envelope, byte-identical to what
-// the owning worker serves (raw passthrough / mirrored bytes — never a
-// decode-and-re-marshal, which would reorder the payload).
-func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	rec, ok := c.recordFor(w, r)
-	if !ok {
-		return
-	}
-	c.refresh(rec)
-	rec.mu.Lock()
-	raw := rec.resultRaw
-	st := rec.statusLocked()
-	rec.mu.Unlock()
-	if raw == nil {
-		// Mirrored status may be terminal without raw bytes yet (e.g. the
-		// owner vanished right after completion); try the owner directly.
-		if _, url, ok := c.owner(rec); ok {
-			rec.mu.Lock()
-			remoteID := rec.remoteID
-			rec.mu.Unlock()
-			c.mirrorResult(rec, url, remoteID)
-			rec.mu.Lock()
-			raw = rec.resultRaw
-			rec.mu.Unlock()
-		}
-	}
-	if raw != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(raw) //nolint:errcheck // nothing to do about a failed response write
-		return
-	}
-	if !st.State.Terminal() {
-		server.WriteError(w, http.StatusConflict, "job "+st.ID+" not finished (state "+string(st.State)+")")
-		return
-	}
-	server.WriteError(w, http.StatusNotFound, "job "+st.ID+" has no result: "+st.Error)
-}
-
-// handleSnapshot proxies the owner's latest checkpoint; when the owner
-// is unreachable (dead, or the job is mid-failover) it serves the
-// coordinator's own mirrored copy, so snapshots stay downloadable
-// through a failure window.
-func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	rec, ok := c.recordFor(w, r)
-	if !ok {
-		return
-	}
-	if _, url, ok := c.owner(rec); ok {
-		rec.mu.Lock()
-		remoteID := rec.remoteID
-		rec.mu.Unlock()
-		resp, err := c.client.Get(url + "/v1/jobs/" + remoteID + "/snapshot")
-		if err == nil {
-			body, rerr := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if rerr == nil && resp.StatusCode == http.StatusOK {
-				w.Header().Set("Content-Type", "application/octet-stream")
-				w.WriteHeader(http.StatusOK)
-				w.Write(body) //nolint:errcheck // nothing to do about a failed response write
-				return
-			}
-		}
-	}
-	rec.mu.Lock()
-	mirrored := rec.snapshot
-	rec.mu.Unlock()
-	if mirrored != nil {
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.WriteHeader(http.StatusOK)
-		w.Write(mirrored) //nolint:errcheck // nothing to do about a failed response write
-		return
-	}
-	server.WriteError(w, http.StatusNotFound, "job "+rec.id+" has no checkpoint (none captured yet, or it already settled)")
-}
-
-// handleCancel cancels cluster-wide: the record is marked user-canceled
-// (so failover never resurrects it) and the DELETE is forwarded to the
-// owning worker when one is reachable.
-func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	rec, ok := c.recordFor(w, r)
-	if !ok {
-		return
-	}
-	rec.mu.Lock()
-	rec.userCanceled = true
-	terminal := rec.state.Terminal()
-	remoteID := rec.remoteID
-	rec.mu.Unlock()
-	if terminal {
-		server.WriteJSON(w, http.StatusOK, rec.status())
-		return
-	}
-	if _, url, ok := c.owner(rec); ok {
-		req, _ := http.NewRequest(http.MethodDelete, url+"/v1/jobs/"+remoteID, nil)
-		resp, err := c.client.Do(req)
-		if err == nil {
-			body, rerr := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if rerr == nil && resp.StatusCode < 300 {
-				var st server.Status
-				if json.Unmarshal(body, &st) == nil && rec.applyStatus(st) {
-					c.traceEvent(rec, server.TraceSettled, string(st.State), st.Steps)
-				}
-				server.WriteJSON(w, resp.StatusCode, rec.status())
-				return
-			}
-		}
-	}
-	// No reachable owner: settle locally; the pending-reassignment path
-	// skips user-canceled records.
-	rec.mu.Lock()
-	settled := !rec.state.Terminal()
-	if settled {
-		rec.state = server.StateCanceled
-		rec.errMsg = "canceled"
-	}
-	rec.mu.Unlock()
-	if settled {
-		c.traceEvent(rec, server.TraceSettled, string(server.StateCanceled), 0)
-	}
-	server.WriteJSON(w, http.StatusOK, rec.status())
-}
-
-// handleEvents streams the job's NDJSON frames through the coordinator,
-// rewriting worker-side ids to the coordinator id. The stream survives
-// failover: when the owner dies mid-stream the proxy waits for the
-// reassignment and reattaches to the new owner, so a watcher sees one
-// uninterrupted stream ending in exactly one result frame.
-func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	rec, ok := c.recordFor(w, r)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(f server.Frame) bool {
-		f.ID = rec.id
-		if err := enc.Encode(f); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
-	resultFrame := func() server.Frame {
-		st := rec.status()
-		return server.Frame{
-			Type:   "result",
-			Steps:  st.Steps,
-			State:  st.State,
-			Cached: st.Cached,
-			Error:  st.Error,
-			Result: st.Result,
-		}
-	}
+// relay follows the job's NDJSON event stream on its owner until the job
+// settles, republishing progress under the coordinator id and folding the
+// result frame in. It survives failover: when the owner dies mid-stream
+// it waits for the reassignment and reattaches to the new owner, so a
+// watcher sees one uninterrupted stream ending in exactly one result
+// frame.
+func (c *Coordinator) relay(e *server.Entry, p *placement) {
 	retry := c.cfg.PullEvery
 	if retry <= 0 || retry > time.Second {
 		retry = time.Second
 	}
-	for {
-		if rec.status().State.Terminal() {
-			emit(resultFrame())
+	for !e.Status().State.Terminal() {
+		if url, remoteID, ok := c.owner(p); ok && c.pump(e, p, url, remoteID) {
 			return
 		}
-		_, url, ok := c.owner(rec)
-		if !ok {
-			// Mid-failover: wait for reassignment (or client disconnect).
-			select {
-			case <-r.Context().Done():
-				return
-			case <-time.After(retry):
-			}
-			continue
-		}
-		rec.mu.Lock()
-		remoteID := rec.remoteID
-		rec.mu.Unlock()
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url+"/v1/jobs/"+remoteID+"/events", nil)
-		if err != nil {
-			return
-		}
-		resp, err := c.stream.Do(req)
-		if err != nil {
-			if r.Context().Err() != nil {
-				return
-			}
-			select {
-			case <-r.Context().Done():
-				return
-			case <-time.After(retry):
-			}
-			continue
-		}
-		done := c.pumpFrames(resp.Body, rec, emit)
-		resp.Body.Close()
-		if done {
-			return
-		}
-		if r.Context().Err() != nil {
-			return
-		}
-		// The upstream closed without a result frame (worker died
-		// mid-stream): loop — the next pass reattaches after failover.
 		select {
-		case <-r.Context().Done():
+		case <-c.ctx.Done():
 			return
 		case <-time.After(retry):
 		}
 	}
 }
 
-// pumpFrames copies one upstream NDJSON stream through emit, folding a
-// terminal result frame into the record. It reports whether the stream
-// completed (result frame seen or the client went away).
-func (c *Coordinator) pumpFrames(body io.Reader, rec *record, emit func(server.Frame) bool) bool {
-	sc := newLineScanner(body)
+// pump copies one upstream event stream into the entry. It reports
+// whether the entry settled; false means the stream ended early (worker
+// death) or the job moved to another worker.
+func (c *Coordinator) pump(e *server.Entry, p *placement, url, remoteID string) bool {
+	req, err := http.NewRequestWithContext(c.ctx, http.MethodGet, url+"/v1/jobs/"+remoteID+"/events", nil)
+	if err != nil {
+		return false
+	}
+	resp, err := c.stream.Do(req)
+	if err != nil {
+		return false
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return false
+	}
+	// A result frame for a large run exceeds bufio's 64K default line.
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	for sc.Scan() {
 		var f server.Frame
 		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
 			continue
 		}
-		if f.Type == "result" {
-			if rec.applyStatus(server.Status{
-				State:  f.State,
-				Cached: f.Cached,
-				Steps:  f.Steps,
-				Error:  f.Error,
-				Result: f.Result,
-			}) {
-				c.traceEvent(rec, server.TraceSettled, string(f.State), f.Steps)
-			}
-			emit(f)
+		if u, id, _ := c.owner(p); u != url || id != remoteID {
+			return false // failed over meanwhile: follow the new owner
+		}
+		c.front.Apply(e, server.Status{State: f.State, Cached: f.Cached, Steps: f.Steps, Error: f.Error, Result: f.Result})
+		if e.Status().State.Terminal() {
 			return true
 		}
-		if !emit(f) {
-			return true // client went away
-		}
+		e.Publish(server.Frame{Type: "progress", ID: e.ID(), Steps: f.Steps, State: f.State})
 	}
 	return false
 }
 
-func (c *Coordinator) handleProtocols(w http.ResponseWriter, r *http.Request) {
-	server.WriteJSON(w, http.StatusOK, server.ProtocolsPayload(c.reg))
-}
-
-// clusterHealth is the coordinator's /healthz body.
-type clusterHealth struct {
-	Status      string `json:"status"`
-	Role        string `json:"role"`
-	Draining    bool   `json:"draining,omitempty"`
-	Nodes       int    `json:"nodes"`
-	Alive       int    `json:"alive"`
-	Jobs        int    `json:"jobs"`
-	CacheLen    int    `json:"cache_len"`
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
-	Protocols   string `json:"protocols"`
-}
-
-func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	nodes, alive := len(c.nodes), 0
-	for _, n := range c.nodes {
-		if n.alive {
-			alive++
+// Cancel cancels cluster-wide: the DELETE is forwarded to the owning
+// worker when one is reachable; otherwise the job settles here, and
+// failover never resurrects it (reassign skips user-canceled jobs).
+func (c *Coordinator) Cancel(e *server.Entry) {
+	if url, remoteID, ok := c.owner(placementOf(e)); ok {
+		req, _ := http.NewRequest(http.MethodDelete, url+"/v1/jobs/"+remoteID, nil)
+		if resp, err := c.client.Do(req); err == nil {
+			var st server.Status
+			decoded := resp.StatusCode < 300 && json.NewDecoder(resp.Body).Decode(&st) == nil
+			resp.Body.Close()
+			if decoded {
+				c.front.Apply(e, st)
+				return
+			}
 		}
 	}
-	jobs := len(c.jobs)
-	c.mu.Unlock()
-	hits, misses := c.cache.Stats()
-	server.WriteJSON(w, http.StatusOK, clusterHealth{
-		Status:      "ok",
-		Role:        "coordinator",
-		Draining:    c.draining.Load(),
-		Nodes:       nodes,
-		Alive:       alive,
-		Jobs:        jobs,
-		CacheLen:    c.cache.Len(),
-		CacheHits:   hits,
-		CacheMisses: misses,
-		Protocols:   strings.Join(c.reg.Names(), ","),
-	})
+	c.front.Settle(e, server.StateCanceled, nil, "canceled")
+}
+
+// Snapshot proxies the owner's latest checkpoint; when the owner is
+// unreachable (dead, or the job is mid-failover) it serves the
+// coordinator's own mirrored copy, so snapshots stay downloadable
+// through a failure window.
+func (c *Coordinator) Snapshot(e *server.Entry) ([]byte, error) {
+	p := placementOf(e)
+	if url, remoteID, ok := c.owner(p); ok {
+		if body, err := c.get(url + "/v1/jobs/" + remoteID + "/snapshot"); err == nil {
+			return body, nil
+		}
+	}
+	if p == nil {
+		return nil, nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.snapshot, nil
+}
+
+// Record keeps nothing: a coordinator's traces live in memory only.
+func (c *Coordinator) Record(*server.Entry, server.TraceEvent) {}
+
+// Health adds the coordinator's role and membership to /healthz.
+func (c *Coordinator) Health(h *server.Health) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	h.Role = "coordinator"
+	h.Fleet = &server.Fleet{Nodes: len(c.nodes)}
+	for _, n := range c.nodes {
+		if n.alive {
+			h.Alive++
+		}
+	}
 }
 
 // ---------------------------------------------------------------------
 // Maintenance: death sweep, failover, checkpoint mirror.
 
 func (c *Coordinator) maintain() {
-	defer c.wg.Done()
 	ticker := time.NewTicker(c.cfg.PullEvery)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-c.done:
+		case <-c.ctx.Done():
 			return
 		case <-ticker.C:
 			c.sweep()
@@ -1146,122 +626,104 @@ func (c *Coordinator) failNode(name, why string) {
 	}
 	n.alive = false
 	c.ring.Remove(name)
-	var orphans []*record
-	for _, id := range c.order {
-		rec := c.jobs[id]
-		rec.mu.Lock()
-		if rec.node == name && !rec.state.Terminal() {
-			rec.node, rec.remoteID = "", ""
-			rec.pending = true
-			orphans = append(orphans, rec)
+	var orphans []*server.Entry
+	for _, e := range c.front.Entries() {
+		p := placementOf(e)
+		if p == nil || e.Status().State.Terminal() {
+			continue
 		}
-		rec.mu.Unlock()
+		p.mu.Lock()
+		if p.node == name {
+			p.node, p.remoteID, p.pending = "", "", true
+			orphans = append(orphans, e)
+		}
+		p.mu.Unlock()
 	}
 	c.mu.Unlock()
 	c.metrics.nodeFailures.Inc()
-	c.cfg.Logf("cluster: worker %s dead (%s); %d in-flight jobs to fail over", name, why, len(orphans))
-	for _, rec := range orphans {
+	slog.Warn("cluster: worker dead, failing its jobs over", "node", name, "why", why, "jobs", len(orphans))
+	for _, e := range orphans {
 		c.metrics.jobsOrphaned.Inc()
-		c.traceEvent(rec, TraceFailover, "worker "+name+" "+why, 0)
-		c.reassign(rec)
+		c.front.Trace(e, TraceFailover, "worker "+name+" "+why, 0)
+		c.reassign(e)
 	}
 }
 
-// reassignPending retries records left unassigned by a failed
+// reassignPending retries orphans left unassigned by a failed
 // reassignment (e.g. there were no survivors at the time).
 func (c *Coordinator) reassignPending() {
-	for _, rec := range c.records() {
-		rec.mu.Lock()
-		pending := rec.pending && !rec.state.Terminal()
-		rec.mu.Unlock()
-		if pending {
-			c.reassign(rec)
-		}
+	for _, e := range c.front.Entries() {
+		c.reassign(e)
 	}
 }
 
-// reassign places an orphaned record on a survivor. A user-canceled
-// orphan settles instead of resurrecting; a resumable orphan goes
-// through POST /v1/jobs/resume with the mirrored checkpoint.
-func (c *Coordinator) reassign(rec *record) {
-	rec.mu.Lock()
-	if rec.state.Terminal() {
-		rec.mu.Unlock()
+// reassign places a pending orphan on a survivor. A user-canceled orphan
+// settles instead of resurrecting; a resumable orphan goes through POST
+// /v1/jobs/resume with the mirrored checkpoint.
+func (c *Coordinator) reassign(e *server.Entry) {
+	p := placementOf(e)
+	if p == nil {
 		return
 	}
-	if rec.userCanceled {
-		rec.state = server.StateCanceled
-		rec.errMsg = "canceled"
-		rec.pending = false
-		rec.mu.Unlock()
-		c.traceEvent(rec, server.TraceSettled, string(server.StateCanceled), 0)
+	p.mu.Lock()
+	claimed, snapshot := p.pending, p.snapshot
+	p.pending = false
+	p.mu.Unlock()
+	if !claimed || e.Status().State.Terminal() {
 		return
 	}
-	snapshot := rec.snapshot
-	rec.state = server.StateQueued
-	rec.mu.Unlock()
-	code, errBody, err := c.place(rec, snapshot)
-	switch {
-	case err != nil:
-		// No live workers right now: stay pending, retried next sweep.
-		c.cfg.Logf("cluster: job %s pending (%v)", rec.id, err)
-	case errBody != nil:
-		// A worker rejected the handoff (full queue, or — for a snapshot
-		// from a different build — a validation error). Stay pending and
-		// retry; backpressure clears, and persistent rejection is visible
-		// in the logs rather than silently failing the job.
-		c.cfg.Logf("cluster: job %s handoff rejected (HTTP %d): %s", rec.id, code, bytes.TrimSpace(errBody))
-	default:
-		from := "scratch"
-		if snapshot != nil {
-			from = "checkpoint"
-		}
-		rec.mu.Lock()
-		if snapshot != nil {
-			rec.resumed = true
-		}
-		owner := rec.node
-		rec.mu.Unlock()
-		c.metrics.jobsRehomed.Inc()
-		if snapshot != nil {
-			c.metrics.jobsResumed.Inc()
-		}
-		c.cfg.Logf("cluster: job %s failed over to %s from %s", rec.id, owner, from)
+	if e.UserCanceled() {
+		c.front.Settle(e, server.StateCanceled, nil, "canceled")
+		return
 	}
+	err := c.place(e, p, snapshot)
+	var rf *server.Refusal
+	if err != nil {
+		// Stay pending, retried next sweep: live workers may appear, and
+		// backpressure clears. A worker's persistent rejection (a snapshot
+		// from a different build) is visible in the logs rather than
+		// silently failing the job.
+		p.mu.Lock()
+		p.pending = p.node == ""
+		p.mu.Unlock()
+		if errors.As(err, &rf) {
+			slog.Warn("cluster: handoff rejected", "job_id", e.ID(), "code", rf.Code, "err", rf.Body.Error)
+		} else {
+			slog.Warn("cluster: job pending", "job_id", e.ID(), "err", err)
+		}
+		return
+	}
+	from := "scratch"
+	c.metrics.jobsRehomed.Inc()
+	if snapshot != nil {
+		from = "checkpoint"
+		c.metrics.jobsResumed.Inc()
+	}
+	p.mu.Lock()
+	owner := p.node
+	p.mu.Unlock()
+	slog.Info("cluster: job failed over", "job_id", e.ID(), "node", owner, "from", from)
 }
 
-// mirror refreshes every live job's status and pulls its latest
-// checkpoint coordinator-side, which is what makes failover a resume
-// rather than a restart.
+// mirror pulls every running job's latest checkpoint coordinator-side,
+// which is what makes failover a resume rather than a restart.
 func (c *Coordinator) mirror() {
-	for _, rec := range c.records() {
-		if rec.status().State.Terminal() {
+	for _, e := range c.front.Entries() {
+		p := placementOf(e)
+		if e.Status().State != server.StateRunning {
 			continue
 		}
-		_, url, ok := c.owner(rec)
+		url, remoteID, ok := c.owner(p)
 		if !ok {
 			continue
 		}
-		c.refresh(rec)
-		st := rec.status()
-		if st.State.Terminal() || st.State == server.StateQueued {
+		body, err := c.get(url + "/v1/jobs/" + remoteID + "/snapshot")
+		if err != nil || len(body) == 0 {
 			continue
 		}
-		rec.mu.Lock()
-		remoteID := rec.remoteID
-		rec.mu.Unlock()
-		resp, err := c.client.Get(url + "/v1/jobs/" + remoteID + "/snapshot")
-		if err != nil {
-			continue
-		}
-		body, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil || resp.StatusCode != http.StatusOK || len(body) == 0 {
-			continue
-		}
-		rec.mu.Lock()
-		rec.snapshot = body
-		rec.mu.Unlock()
+		p.mu.Lock()
+		p.snapshot = body
+		p.mu.Unlock()
 		c.metrics.mirrorPulls.Inc()
 	}
 	c.lastMirror.Store(time.Now().UnixNano())

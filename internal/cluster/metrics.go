@@ -1,43 +1,27 @@
 package cluster
 
 import (
-	"net/http"
 	"time"
 
 	"shapesol/internal/obs"
-	"shapesol/internal/server"
 )
 
-// clusterMetrics is the coordinator's slice of the fleet registry: ring
-// membership, per-node heartbeat staleness, failover/reassignment
-// counters, mirror freshness, and per-route latency. Each Coordinator
+// clusterMetrics is the coordinator's own slice of the registry its
+// front end serves: ring membership, per-node heartbeat staleness,
+// failover/reassignment counters and mirror freshness. Each Coordinator
 // owns a private registry, so two coordinators in one process (tests)
 // never share counters.
 type clusterMetrics struct {
-	reg    *obs.Registry
-	routes *obs.HistogramVec
-
-	// staleness is repopulated from the node table at every scrape, so
-	// a dead (or departed) worker's row disappears instead of freezing
-	// at its last value.
-	staleness *obs.GaugeVec
-
 	nodeFailures *obs.Counter // workers declared dead
 	jobsOrphaned *obs.Counter // in-flight jobs orphaned by a death
 	jobsRehomed  *obs.Counter // orphans successfully placed on a survivor
 	jobsResumed  *obs.Counter // rehomed from a mirrored checkpoint (vs scratch)
 	mirrorPulls  *obs.Counter // checkpoint bodies pulled by the mirror loop
-	traceEvents  *obs.Counter
 }
 
 func newClusterMetrics(c *Coordinator) *clusterMetrics {
-	reg := obs.NewRegistry()
+	reg := c.front.Registry()
 	m := &clusterMetrics{
-		reg: reg,
-		routes: reg.HistogramVec("shapesol_http_request_duration_seconds",
-			"Latency of coordinator HTTP requests by route pattern.", nil, "route"),
-		staleness: reg.GaugeVec("shapesol_cluster_heartbeat_staleness_seconds",
-			"Seconds since each registered worker's last heartbeat.", "node"),
 		nodeFailures: reg.Counter("shapesol_cluster_node_failures_total",
 			"Workers declared dead (missed heartbeats or unreachable)."),
 		jobsOrphaned: reg.Counter("shapesol_cluster_jobs_failed_over_total",
@@ -48,8 +32,6 @@ func newClusterMetrics(c *Coordinator) *clusterMetrics {
 			"Reassignments that resumed from a mirrored checkpoint rather than scratch."),
 		mirrorPulls: reg.Counter("shapesol_cluster_mirror_pulls_total",
 			"Checkpoint bodies pulled coordinator-side by the mirror loop."),
-		traceEvents: reg.Counter("shapesol_trace_events_total",
-			"Lifecycle trace events recorded across all jobs."),
 	}
 	reg.GaugeFunc("shapesol_cluster_ring_size",
 		"Live workers on the consistent-hash ring.", func() float64 {
@@ -84,66 +66,19 @@ func newClusterMetrics(c *Coordinator) *clusterMetrics {
 			}
 			return time.Since(time.Unix(0, ns)).Seconds()
 		})
-	reg.GaugeFunc("shapesol_cache_entries",
-		"Entries in the coordinator's result cache.", func() float64 {
-			return float64(c.cache.Len())
-		})
-	reg.CounterFunc("shapesol_cache_hits_total",
-		"Coordinator result-cache hits.", func() float64 {
-			hits, _ := c.cache.Stats()
-			return float64(hits)
-		})
-	reg.CounterFunc("shapesol_cache_misses_total",
-		"Coordinator result-cache misses.", func() float64 {
-			_, misses := c.cache.Stats()
-			return float64(misses)
-		})
-	reg.GaugeFunc("shapesol_draining",
-		"1 while the coordinator is shutting down.", func() float64 {
-			if c.draining.Load() {
-				return 1
-			}
-			return 0
-		})
-
-	jobs := reg.GaugeVec("shapesol_jobs",
-		"Coordinator job records by lifecycle state.", "state")
+	// Staleness is repopulated from the node table at every scrape, so a
+	// dead (or departed) worker's row disappears instead of freezing at
+	// its last value.
+	staleness := reg.GaugeVec("shapesol_cluster_heartbeat_staleness_seconds",
+		"Seconds since each registered worker's last heartbeat.", "node")
 	reg.OnCollect(func() {
-		// Per-node staleness and the per-state job census are snapshots
-		// of mutable tables: rebuild both vecs at scrape time.
-		m.staleness.Reset()
+		staleness.Reset()
 		now := time.Now()
 		c.mu.Lock()
+		defer c.mu.Unlock()
 		for _, n := range c.nodes {
-			m.staleness.With(n.name).Set(now.Sub(n.lastBeat).Seconds())
-		}
-		recs := c.recordsLocked()
-		c.mu.Unlock()
-		jobs.Reset()
-		for _, st := range []server.State{server.StateQueued, server.StateRunning,
-			server.StateDone, server.StateFailed, server.StateCanceled} {
-			jobs.With(string(st)).Set(0)
-		}
-		for _, rec := range recs {
-			rec.mu.Lock()
-			st := rec.state
-			rec.mu.Unlock()
-			jobs.With(string(st)).Add(1)
+			staleness.With(n.name).Set(now.Sub(n.lastBeat).Seconds())
 		}
 	})
 	return m
-}
-
-// instrument wraps a handler with the per-route latency histogram.
-func (m *clusterMetrics) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc {
-	hist := m.routes.With(pattern)
-	return func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		h(w, r)
-		hist.Observe(time.Since(t0).Seconds())
-	}
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	c.metrics.reg.Handler().ServeHTTP(w, r)
 }

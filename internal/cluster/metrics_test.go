@@ -105,6 +105,18 @@ func TestCoordinatorMetricsAndTrace(t *testing.T) {
 		}
 	}
 
+	// /healthz carries the coordinator's role and membership, and a job
+	// that settled without a checkpoint has no snapshot to serve.
+	var h server.Health
+	if code := httpJSON(t, http.MethodGet, tc.ts.URL+"/healthz", nil, &h); code != http.StatusOK ||
+		h.Role != "coordinator" || h.Fleet == nil || h.Nodes != 2 || h.Alive != 2 || h.Jobs != 1 {
+		t.Fatalf("coordinator health = %d %+v %+v", code, h, h.Fleet)
+	}
+	var eb server.ErrorBody
+	if code := httpJSON(t, http.MethodGet, tc.ts.URL+"/v1/jobs/"+st.ID+"/snapshot", nil, &eb); code != http.StatusNotFound || eb.Error == "" {
+		t.Fatalf("snapshot of a settled job = %d %+v, want 404", code, eb)
+	}
+
 	body = scrapeMetrics(t, tc.ts.URL)
 	if got := metricValue(t, body, `shapesol_jobs{state="done"}`); got != 1 {
 		t.Fatalf("jobs{done} = %v, want 1", got)

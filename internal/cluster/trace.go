@@ -1,51 +1,11 @@
 package cluster
 
-import (
-	"net/http"
-	"time"
-
-	"shapesol/internal/server"
-)
-
-// Coordinator-specific lifecycle events, extending the worker-side
-// vocabulary in internal/server/trace.go: a clustered job is also
-// routed to an owner, orphaned by a death, and rehomed on a survivor.
+// Coordinator-specific lifecycle events, extending the vocabulary in
+// internal/server/trace.go: a clustered job is also routed to an owner,
+// orphaned by a death, and rehomed on a survivor.
 const (
 	// TraceRouted records placement on a worker (detail: node name).
 	TraceRouted = "routed"
 	// TraceFailover records the owning worker's death (detail: why).
 	TraceFailover = "failover"
 )
-
-// traceBody is the wire form of GET /v1/jobs/{id}/trace — the same
-// shape the standalone daemon serves, so clients need not care which
-// role answered.
-type traceBody struct {
-	ID     string              `json:"id"`
-	Events []server.TraceEvent `json:"events"`
-}
-
-// addTrace appends one lifecycle event to the record under its lock.
-func (rec *record) addTrace(event, detail string, steps int64) {
-	ev := server.TraceEvent{TS: time.Now().UTC(), Event: event, Detail: detail, Steps: steps}
-	rec.mu.Lock()
-	rec.trace = append(rec.trace, ev)
-	rec.mu.Unlock()
-}
-
-// traceEvent records a lifecycle event and counts it in the registry.
-func (c *Coordinator) traceEvent(rec *record, event, detail string, steps int64) {
-	rec.addTrace(event, detail, steps)
-	c.metrics.traceEvents.Inc()
-}
-
-func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
-	rec, ok := c.recordFor(w, r)
-	if !ok {
-		return
-	}
-	rec.mu.Lock()
-	events := append([]server.TraceEvent(nil), rec.trace...)
-	rec.mu.Unlock()
-	server.WriteJSON(w, http.StatusOK, traceBody{ID: rec.id, Events: events})
-}

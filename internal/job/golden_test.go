@@ -120,3 +120,110 @@ func TestResultRoundTrip(t *testing.T) {
 		})
 	}
 }
+
+// goldenEnvelopes reads every golden Result file.
+func goldenEnvelopes(t testing.TB) map[string][]byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("testdata", "*.golden.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no golden envelopes (%v)", err)
+	}
+	out := make(map[string][]byte, len(paths))
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[filepath.Base(p)] = data
+	}
+	return out
+}
+
+// TestResultDecodeKeepsBytes pins the payload rule: a Result decoded
+// from JSON re-encodes to exactly the bytes it came from, in both the
+// indented (golden, /result) and the compact (events frame) form.
+func TestResultDecodeKeepsBytes(t *testing.T) {
+	for name, indented := range goldenEnvelopes(t) {
+		t.Run(name, func(t *testing.T) {
+			var res Result
+			if err := json.Unmarshal(indented, &res); err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.MarshalIndent(res, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got = append(got, '\n'); !bytes.Equal(got, indented) {
+				t.Fatalf("indented round trip drifted:\ngot:\n%s\nwant:\n%s", got, indented)
+			}
+			var compact bytes.Buffer
+			if err := json.Compact(&compact, indented); err != nil {
+				t.Fatal(err)
+			}
+			var res2 Result
+			if err := json.Unmarshal(compact.Bytes(), &res2); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := json.Marshal(res2); err != nil || !bytes.Equal(got, compact.Bytes()) {
+				t.Fatalf("compact round trip drifted (%v):\ngot:  %s\nwant: %s", err, got, compact.Bytes())
+			}
+		})
+	}
+}
+
+// TestResultDecodeRejectsDamage: Result JSON arrives from worker frames
+// and journal lines, so every truncation and a set of garbled forms must
+// decode to an error, never a panic or a silently partial envelope.
+func TestResultDecodeRejectsDamage(t *testing.T) {
+	for name, data := range goldenEnvelopes(t) {
+		body := bytes.TrimSpace(data)
+		for cut := 0; cut < len(body); cut++ {
+			var res Result
+			if err := json.Unmarshal(body[:cut], &res); err == nil {
+				t.Fatalf("%s truncated to %d bytes decoded without error", name, cut)
+			}
+		}
+	}
+	for _, bad := range []string{
+		`{"protocol": "x", "payload": {"n": 1`,
+		`{"protocol": "x", "payload": }`,
+		`{"protocol": 7}`,
+		`{"steps": "many"}`,
+		`{"wall_ns": 1.5}`,
+		`{"halted": "yes"}`,
+		`["protocol"]`,
+		`{"protocol": "x"}}`,
+		"{\"protocol\": \"\xff\", \"payload\": [}",
+	} {
+		var res Result
+		if err := json.Unmarshal([]byte(bad), &res); err == nil {
+			t.Errorf("garbled envelope %q decoded without error: %+v", bad, res)
+		}
+	}
+}
+
+// FuzzResultDecode checks that decoding arbitrary bytes never panics and
+// that whatever decodes re-encodes and decodes again to the same bytes.
+func FuzzResultDecode(f *testing.F) {
+	for _, data := range goldenEnvelopes(f) {
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var res Result
+		if json.Unmarshal(data, &res) != nil {
+			return
+		}
+		first, err := json.Marshal(res)
+		if err != nil {
+			t.Fatalf("decoded %q does not re-encode: %v", data, err)
+		}
+		var again Result
+		if err := json.Unmarshal(first, &again); err != nil {
+			t.Fatalf("re-encoded %q does not decode: %v", first, err)
+		}
+		if second, _ := json.Marshal(again); !bytes.Equal(first, second) {
+			t.Fatalf("re-encoding is not stable:\n%s\n%s", first, second)
+		}
+	})
+}

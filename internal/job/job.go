@@ -297,9 +297,30 @@ type Result struct {
 	// non-deterministic envelope field; consumers that need reproducible
 	// bytes (golden files, aggregate tables) zero or drop it.
 	WallTime time.Duration `json:"wall_ns"`
-	// Payload is the protocol-specific outcome. It round-trips through
-	// JSON as a generic object.
+	// Payload is the protocol-specific outcome: the protocol's typed
+	// outcome struct after a run, a json.RawMessage after UnmarshalJSON.
 	Payload any `json:"payload,omitempty"`
+}
+
+// UnmarshalJSON decodes an envelope keeping its payload as the raw bytes
+// it arrived as, so a decoded Result re-encodes to the bytes it came from.
+// A generic decode would turn the payload into a map and re-encode its
+// keys sorted, breaking byte-identity with the golden envelopes.
+func (r *Result) UnmarshalJSON(data []byte) error {
+	type envelope Result // the fields without this method
+	var w struct {
+		envelope
+		Payload json.RawMessage `json:"payload"`
+	}
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	*r = Result(w.envelope)
+	r.Payload = nil
+	if len(w.Payload) > 0 {
+		r.Payload = w.Payload
+	}
+	return nil
 }
 
 // Spec describes one registered protocol.

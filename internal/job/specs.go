@@ -30,8 +30,8 @@ import (
 // statistically equivalent executions, not different results, so they
 // stay out of the job's cache identity.
 //
-// Every spec's Run is built from an engine runner adapter (popRunner,
-// urnRunner, simRunner — see checkpoint.go), which factors the execution
+// Every spec's Run is built from the engine runner adapter (runner, see
+// checkpoint.go), which factors the execution
 // into build / restore / run / read-out. The adapter instantiated with
 // the protocol's concrete state type doubles as the protocol's snapshot
 // state codec, so every protocol × engine pair below is checkpointable
@@ -61,7 +61,7 @@ func simOutcome(payload any, steps int64, reason sim.StopReason, halted bool) Ou
 }
 
 func init() {
-	runUpperBoundPop := popRunner(
+	runUpperBoundPop := runner(
 		func(j Job, progress func(int64)) (*pop.World[counting.UBState], error) {
 			return counting.NewUpperBoundWorld(j.Params.N, j.Params.B, j.Seed, j.MaxSteps, progress), nil
 		},
@@ -69,7 +69,7 @@ func init() {
 			out := counting.UpperBoundOutcomeOf(j.Params.B, w, res)
 			return popOutcome(out, out.Steps, res.Reason), nil
 		})
-	runUpperBoundUrn := urnRunner(
+	runUpperBoundUrn := runner(
 		func(j Job, progress func(int64)) (*urn.World[counting.UBState], error) {
 			return counting.NewUpperBoundUrnWorld(j.Params.N, j.Params.B, j.Seed, j.MaxSteps, progress), nil
 		},
@@ -77,7 +77,7 @@ func init() {
 			out := counting.UpperBoundUrnOutcomeOf(j.Params.B, w, res)
 			return popOutcome(out, out.Steps, res.Reason), nil
 		})
-	runUpperBoundCheck := checkRunner(
+	runUpperBoundCheck := runner(
 		func(j Job, progress func(int64)) (*check.Explorer[counting.UBState], error) {
 			return counting.NewUpperBoundCheckExplorer(j.Params.N, j.Params.B, j.MaxSteps, progress), nil
 		},
@@ -129,7 +129,7 @@ func init() {
 			{Name: "b", Usage: "repeated-window length", Default: 2, Min: 1},
 			faultField,
 		},
-		Run: popRunner(
+		Run: runner(
 			func(j Job, progress func(int64)) (*pop.World[*counting.SimpleUIDState], error) {
 				return counting.NewSimpleUIDWorld(j.Params.N, j.Params.B, j.Seed, j.MaxSteps, progress), nil
 			},
@@ -150,7 +150,7 @@ func init() {
 			{Name: "b", Usage: "count1 threshold before second marks", Default: 4, Min: 1},
 			faultField,
 		},
-		Run: popRunner(
+		Run: runner(
 			func(j Job, progress func(int64)) (*pop.World[*counting.UIDState], error) {
 				return counting.NewUIDWorld(j.Params.N, j.Params.B, j.Seed, j.MaxSteps, progress), nil
 			},
@@ -170,7 +170,7 @@ func init() {
 			{Name: "n", Usage: "population size", Required: true, Min: 2},
 			faultField,
 		},
-		Run: popRunner(
+		Run: runner(
 			func(j Job, progress func(int64)) (*pop.World[counting.ObsState], error) {
 				return counting.NewLeaderlessWorld(counting.TwoZerosProtocol(), j.Params.N, j.Seed, j.MaxSteps, progress), nil
 			},
@@ -191,7 +191,7 @@ func init() {
 			{Name: "b", Usage: "leader head start", Default: 3, Min: 1},
 			faultField,
 		},
-		Run: simRunner(
+		Run: runner(
 			func(j Job, progress func(int64)) (*sim.World[core.CountLineState], error) {
 				return core.NewCountLineWorld(j.Params.N, j.Params.B, j.Seed, j.MaxSteps, progress), nil
 			},
@@ -212,7 +212,7 @@ func init() {
 			{Name: "n", Usage: "population size (default d*d)", Min: 1},
 			faultField,
 		},
-		Run: simRunner(
+		Run: runner(
 			func(j Job, progress func(int64)) (*sim.World[core.SquareKnowingNState], error) {
 				n := j.Params.N
 				if n == 0 {
@@ -226,7 +226,7 @@ func init() {
 			}),
 	})
 
-	runUniversal := simRunner(
+	runUniversal := runner(
 		func(j Job, progress func(int64)) (*sim.World[core.UniversalState], error) {
 			lang, err := shapes.ByName(j.Params.Lang)
 			if err != nil {
@@ -287,7 +287,7 @@ func init() {
 			{Name: "lang", Usage: "shape language", DefaultStr: "star"},
 			faultField,
 		},
-		Run: simRunner(
+		Run: runner(
 			func(j Job, progress func(int64)) (*sim.World[core.Parallel3DState], error) {
 				lang, err := shapes.ByName(j.Params.Lang)
 				if err != nil {
@@ -316,7 +316,7 @@ func init() {
 			{Name: "free", Usage: "free nodes (default the paper's 2|R_G|-|G|)"},
 			faultField,
 		},
-		Run: simRunner(
+		Run: runner(
 			func(j Job, progress func(int64)) (*sim.World[core.ReplicationState], error) {
 				g := j.Params.Shape
 				free := j.Params.Free
@@ -342,7 +342,7 @@ func init() {
 			{Name: "n", Usage: "population size", Required: true, Min: 1},
 			faultField,
 		},
-		Run: simRunner(
+		Run: runner(
 			func(j Job, progress func(int64)) (*sim.World[rules.State], error) {
 				return core.NewStabilizeWorld(j.Params.Table, j.Params.N, j.Seed, j.MaxSteps, progress)
 			},

@@ -8,69 +8,39 @@ import (
 	"shapesol/internal/obs"
 )
 
-// serverMetrics is the daemon's observability surface: one obs.Registry
-// serving GET /metrics, with the engine counter sets pre-resolved per
-// engine label and the serving-path instruments (route latency, queue
-// depth, pool saturation, cache hit/miss, journal fsync and checkpoint
-// write timing) registered around the existing components.
-type serverMetrics struct {
-	reg     *obs.Registry
-	routes  *obs.HistogramVec
-	engines map[job.Engine]*obs.EngineMetrics
-
-	fsync      *obs.Histogram
-	checkpoint *obs.Histogram
-	traces     *obs.Counter
+// frontMetrics is the metrics core both roles share: one obs.Registry
+// serving GET /metrics, with the per-route latency histogram, the trace
+// counter and the cache, draining and jobs-by-state series. Executors
+// add their own series to the same registry. Scrape-time values are read
+// through funcs and collect hooks, so nothing polls in the background.
+type frontMetrics struct {
+	reg    *obs.Registry
+	routes *obs.HistogramVec
+	traces *obs.Counter
 }
 
-// newServerMetrics builds the registry for s. Scrape-time values (queue
-// depth, saturation, cache counters, per-state job counts) are read
-// through funcs and collect hooks, so nothing polls in the background.
-func newServerMetrics(s *Server) *serverMetrics {
+func newFrontMetrics(f *Front) *frontMetrics {
 	reg := obs.NewRegistry()
-	m := &serverMetrics{
+	m := &frontMetrics{
 		reg: reg,
 		routes: reg.HistogramVec("shapesol_http_request_duration_seconds",
 			"HTTP request latency by mux route pattern.", nil, "route"),
-		engines: map[job.Engine]*obs.EngineMetrics{
-			job.EngineSim:   obs.NewEngineMetrics(reg, string(job.EngineSim)),
-			job.EnginePop:   obs.NewEngineMetrics(reg, string(job.EnginePop)),
-			job.EngineUrn:   obs.NewEngineMetrics(reg, string(job.EngineUrn)),
-			job.EngineCheck: obs.NewEngineMetrics(reg, string(job.EngineCheck)),
-		},
-		fsync: reg.Histogram("shapesol_journal_fsync_duration_seconds",
-			"Journal append fsync latency.", nil),
-		checkpoint: reg.Histogram("shapesol_checkpoint_write_duration_seconds",
-			"Time to capture, encode, and atomically write one job checkpoint.", nil),
 		traces: reg.Counter("shapesol_trace_events_total",
 			"Job lifecycle trace events recorded."),
 	}
-
-	reg.GaugeFunc("shapesol_queue_depth",
-		"Accepted-but-not-started jobs waiting in the pool queue.",
-		func() float64 { return float64(s.pool.QueueDepth()) })
-	reg.GaugeFunc("shapesol_queue_capacity",
-		"Pool queue capacity (the 503 backpressure bound).",
-		func() float64 { return float64(s.pool.QueueCap()) })
-	reg.GaugeFunc("shapesol_pool_workers",
-		"Worker goroutines in the execution pool.",
-		func() float64 { return float64(s.pool.Workers()) })
-	reg.GaugeFunc("shapesol_pool_busy",
-		"Workers currently executing a job (saturation = busy/workers).",
-		func() float64 { return float64(s.pool.Busy()) })
 	reg.CounterFunc("shapesol_cache_hits_total",
 		"Result-cache hits (submissions answered without simulation).",
-		func() float64 { h, _ := s.cache.Stats(); return float64(h) })
+		func() float64 { h, _ := f.cache.Stats(); return float64(h) })
 	reg.CounterFunc("shapesol_cache_misses_total",
 		"Result-cache misses.",
-		func() float64 { _, mi := s.cache.Stats(); return float64(mi) })
+		func() float64 { _, mi := f.cache.Stats(); return float64(mi) })
 	reg.GaugeFunc("shapesol_cache_entries",
 		"Entries in the LRU result cache.",
-		func() float64 { return float64(s.cache.Len()) })
+		func() float64 { return float64(f.cache.Len()) })
 	reg.GaugeFunc("shapesol_draining",
-		"1 while the daemon is shutting down and rejecting submissions.",
+		"1 while the process is shutting down and rejecting submissions.",
 		func() float64 {
-			if s.draining.Load() {
+			if f.draining.Load() {
 				return 1
 			}
 			return 0
@@ -83,8 +53,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 			StateQueued: 0, StateRunning: 0, StateDone: 0,
 			StateFailed: 0, StateCanceled: 0,
 		}
-		for _, st := range s.store.list() {
-			counts[st.State]++
+		for _, e := range f.store.all() {
+			counts[e.Status().State]++
 		}
 		for state, n := range counts {
 			jobsByState.With(string(state)).Set(float64(n))
@@ -93,15 +63,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 	return m
 }
 
-// engine returns the counter set for an engine label (nil for an
-// engine the registry does not know, which Normalize rejects anyway).
-func (m *serverMetrics) engine(eng job.Engine) *obs.EngineMetrics {
-	return m.engines[eng]
-}
-
 // instrument wraps a route handler with the per-route latency
 // histogram. The child is resolved once per route at registration.
-func (m *serverMetrics) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc {
+func (m *frontMetrics) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc {
 	hist := m.routes.With(pattern)
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
@@ -111,6 +75,35 @@ func (m *serverMetrics) instrument(pattern string, h http.HandlerFunc) http.Hand
 }
 
 // handleMetrics serves the Prometheus text exposition.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.metrics.reg.Handler().ServeHTTP(w, r)
+func (f *Front) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	f.metrics.reg.Handler().ServeHTTP(w, r)
+}
+
+// registerMetrics adds the local executor's series: the engine counter
+// sets, pre-resolved per engine label, the pool gauges and the journal
+// fsync and checkpoint write timings.
+func (s *Server) registerMetrics() {
+	reg := s.Registry()
+	s.engines = map[job.Engine]*obs.EngineMetrics{
+		job.EngineSim:   obs.NewEngineMetrics(reg, string(job.EngineSim)),
+		job.EnginePop:   obs.NewEngineMetrics(reg, string(job.EnginePop)),
+		job.EngineUrn:   obs.NewEngineMetrics(reg, string(job.EngineUrn)),
+		job.EngineCheck: obs.NewEngineMetrics(reg, string(job.EngineCheck)),
+	}
+	s.fsync = reg.Histogram("shapesol_journal_fsync_duration_seconds",
+		"Journal append fsync latency.", nil)
+	s.checkpoint = reg.Histogram("shapesol_checkpoint_write_duration_seconds",
+		"Time to capture, encode, and atomically write one job checkpoint.", nil)
+	reg.GaugeFunc("shapesol_queue_depth",
+		"Accepted-but-not-started jobs waiting in the pool queue.",
+		func() float64 { return float64(s.pool.QueueDepth()) })
+	reg.GaugeFunc("shapesol_queue_capacity",
+		"Pool queue capacity (the 503 backpressure bound).",
+		func() float64 { return float64(s.pool.QueueCap()) })
+	reg.GaugeFunc("shapesol_pool_workers",
+		"Worker goroutines in the execution pool.",
+		func() float64 { return float64(s.pool.Workers()) })
+	reg.GaugeFunc("shapesol_pool_busy",
+		"Workers currently executing a job (saturation = busy/workers).",
+		func() float64 { return float64(s.pool.Busy()) })
 }

@@ -12,14 +12,15 @@ import (
 	"time"
 
 	"shapesol/internal/job"
+	"shapesol/internal/obs"
 )
 
 // The durability layer of the daemon. A -data-dir holds two things:
 //
 //   - journal.ndjson — an append-only journal of job admissions ("submit"
 //     records, the normalized Job) and settlements ("result" records, the
-//     terminal Status fields with the Result envelope's payload kept as
-//     raw JSON so replayed results serve byte-identical bytes). Replay is
+//     terminal Status fields; a replayed Result keeps its payload bytes, see
+//     job.Result.UnmarshalJSON, so it serves byte-identical bytes). Replay is
 //     order-insensitive per id, so concurrent appends from workers and
 //     the submit handler need no coordination beyond the file lock. A
 //     torn final line (the kill -9 case) is skipped.
@@ -37,10 +38,9 @@ type persister struct {
 	mu      sync.Mutex
 	journal *os.File
 
-	// observeFsync/observeCheckpoint, when set, time the durability
-	// syscalls for the metrics registry (see metrics.go).
-	observeFsync      func(seconds float64)
-	observeCheckpoint func(seconds float64)
+	// fsync and write time the durability syscalls for the metrics
+	// registry (see metrics.go).
+	fsync, write *obs.Histogram
 }
 
 // journalRecord is one line of journal.ndjson. Type is "submit",
@@ -58,7 +58,7 @@ type journalRecord struct {
 	Event *TraceEvent     `json:"event,omitempty"`
 }
 
-func openPersister(dir string) (*persister, error) {
+func openPersister(dir string, fsync, write *obs.Histogram) (*persister, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
 		return nil, fmt.Errorf("server: data dir: %w", err)
 	}
@@ -66,7 +66,7 @@ func openPersister(dir string) (*persister, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: open journal: %w", err)
 	}
-	return &persister{dir: dir, journal: f}, nil
+	return &persister{dir: dir, journal: f, fsync: fsync, write: write}, nil
 }
 
 func (p *persister) close() {
@@ -94,9 +94,7 @@ func (p *persister) append(rec journalRecord) error {
 	}
 	t0 := time.Now()
 	err = p.journal.Sync()
-	if p.observeFsync != nil {
-		p.observeFsync(time.Since(t0).Seconds())
-	}
+	p.fsync.Observe(time.Since(t0).Seconds())
 	return err
 }
 
@@ -152,8 +150,8 @@ func (p *persister) writeCheckpoint(id string, data []byte) error {
 		return err
 	}
 	err := os.Rename(tmp, path)
-	if err == nil && p.observeCheckpoint != nil {
-		p.observeCheckpoint(time.Since(t0).Seconds())
+	if err == nil {
+		p.write.Observe(time.Since(t0).Seconds())
 	}
 	return err
 }
@@ -205,11 +203,10 @@ func (p *persister) replay() ([]replayedJob, int64, error) {
 		r.state = rec.State
 		r.errMsg = rec.Error
 		if len(rec.Res) > 0 {
-			res, err := decodeReplayedResult(rec.Res)
-			if err != nil {
+			r.result = new(job.Result)
+			if err := json.Unmarshal(rec.Res, r.result); err != nil {
 				return fmt.Errorf("server: journal result %s: %w", rec.ID, err)
 			}
-			r.result = res
 		}
 		return nil
 	}
@@ -280,29 +277,6 @@ func (p *persister) replay() ([]replayedJob, int64, error) {
 		out = append(out, *byID[id])
 	}
 	return out, maxSeq, nil
-}
-
-// decodeReplayedResult rebuilds a Result envelope from its journaled
-// JSON, keeping the protocol payload as raw bytes: a decode through a
-// generic map would reorder the payload's fields, and the daemon's
-// /result contract is byte-identity with the golden envelopes.
-func decodeReplayedResult(data json.RawMessage) (*job.Result, error) {
-	var res job.Result
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, err
-	}
-	var shell struct {
-		Payload json.RawMessage `json:"payload"`
-	}
-	if err := json.Unmarshal(data, &shell); err != nil {
-		return nil, err
-	}
-	if len(shell.Payload) > 0 {
-		res.Payload = shell.Payload
-	} else {
-		res.Payload = nil
-	}
-	return &res, nil
 }
 
 // idSeq extracts the numeric suffix of a jN id, so a rebooted store

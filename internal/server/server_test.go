@@ -531,7 +531,7 @@ func TestListAndHealth(t *testing.T) {
 
 	rec = httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	var h health
+	var h Health
 	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -62,8 +61,9 @@ type Frame struct {
 	Result *job.Result `json:"result,omitempty"`
 }
 
-// entry is the store's record of one submitted job.
-type entry struct {
+// Entry is the job table's record of one submitted job, shared by both
+// roles; what only one role needs per job lives in its executor's Ext.
+type Entry struct {
 	id   string
 	job  job.Job   // normalized: engine, budget and param defaults resolved
 	spec *job.Spec // resolved at admission, so workers skip re-validation
@@ -72,7 +72,8 @@ type entry struct {
 	steps atomic.Int64 // latest progress, written on the Progress cadence
 	// userCanceled marks a DELETE-initiated cancellation, distinguishing
 	// it from a draining shutdown: a user cancel settles the job for good
-	// (journaled terminal), an interrupt leaves it resumable at next boot.
+	// (journaled terminal, never failed over), an interrupt leaves it
+	// resumable.
 	userCanceled atomic.Bool
 
 	mu     sync.Mutex
@@ -85,27 +86,40 @@ type entry struct {
 	resumed bool
 	errMsg  string
 	result  *job.Result
-	cancel  context.CancelFunc
 	subs    map[chan Frame]struct{}
+	ext     any // the executor's per-job state
 }
 
-// markResumed flags the entry as continuing from a snapshot. The entry
-// is already published in the store (listings may be reading it), so the
-// write takes the entry lock.
-func (e *entry) markResumed() {
+// ID returns the job's id in this process.
+func (e *Entry) ID() string { return e.id }
+
+// Job returns the normalized job.
+func (e *Entry) Job() job.Job { return e.job }
+
+// Key returns the job's canonical cache key.
+func (e *Entry) Key() string { return e.key }
+
+// UserCanceled reports whether a DELETE asked for the job's cancellation.
+func (e *Entry) UserCanceled() bool { return e.userCanceled.Load() }
+
+// Ext returns the executor's per-job state.
+func (e *Entry) Ext() any {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.resumed = true
+	return e.ext
 }
 
-// status snapshots the entry as its wire form.
-func (e *entry) status() Status {
+// SetExt attaches the executor's per-job state.
+func (e *Entry) SetExt(v any) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.statusLocked()
+	e.ext = v
 }
 
-func (e *entry) statusLocked() Status {
+// Status snapshots the entry as its wire form.
+func (e *Entry) Status() Status {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	st := Status{
 		ID:       e.id,
 		Protocol: e.job.Protocol,
@@ -126,8 +140,8 @@ func (e *entry) statusLocked() Status {
 
 // resultFrame renders the terminal Status as the stream's final frame.
 // Call only after the entry is terminal.
-func (e *entry) resultFrame() Frame {
-	st := e.status()
+func (e *Entry) resultFrame() Frame {
+	st := e.Status()
 	return Frame{
 		Type:   "result",
 		ID:     st.ID,
@@ -139,25 +153,10 @@ func (e *entry) resultFrame() Frame {
 	}
 }
 
-// setCached records a cache-served result on a just-created entry.
-func (e *entry) setCached(res *job.Result) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cached = true
-	e.result = res
-}
-
-// setCancel attaches the run context's cancel function.
-func (e *entry) setCancel(cancel context.CancelFunc) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cancel = cancel
-}
-
 // tryStart is the worker's queued -> running transition. It fails when a
 // DELETE (or drain) settled the entry while it waited in the queue, in
 // which case the worker must not run it.
-func (e *entry) tryStart() bool {
+func (e *Entry) tryStart() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.state != StateQueued {
@@ -171,30 +170,10 @@ func (e *entry) tryStart() bool {
 // engine never ran) and reports whether it made the transition. The check
 // and transition are one critical section, so it cannot race the worker's
 // tryStart.
-func (e *entry) cancelQueued(msg string) bool {
+func (e *Entry) cancelQueued(msg string) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.state != StateQueued {
-		return false
-	}
-	e.state = StateCanceled
-	e.errMsg = msg
-	for ch := range e.subs {
-		close(ch)
-	}
-	e.subs = nil
-	return true
-}
-
-// cancelRun cancels the run context (a no-op before setCancel or after
-// the run finished — contexts tolerate double cancel).
-func (e *entry) cancelRun() {
-	e.mu.Lock()
-	cancel := e.cancel
-	e.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
+	return e.state == StateQueued && e.finishLocked(StateCanceled, nil, msg)
 }
 
 // subscribe registers a progress listener. The returned channel carries
@@ -202,7 +181,7 @@ func (e *entry) cancelRun() {
 // (subscribing to a finished job returns an already-closed channel); the
 // subscriber then reads the final Status itself via resultFrame, so a
 // slow consumer can drop progress frames but never the outcome.
-func (e *entry) subscribe() chan Frame {
+func (e *Entry) subscribe() chan Frame {
 	ch := make(chan Frame, 16)
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -219,7 +198,7 @@ func (e *entry) subscribe() chan Frame {
 
 // unsubscribe removes a listener that is going away before the job
 // finished (client disconnect).
-func (e *entry) unsubscribe(ch chan Frame) {
+func (e *Entry) unsubscribe(ch chan Frame) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, ok := e.subs[ch]; ok {
@@ -228,10 +207,10 @@ func (e *entry) unsubscribe(ch chan Frame) {
 	}
 }
 
-// publish fans a progress frame out to the live subscribers. Sends are
+// Publish fans a progress frame out to the live subscribers. Sends are
 // non-blocking: a subscriber that is not draining (stalled HTTP write)
 // misses frames instead of stalling the engine's progress callback.
-func (e *entry) publish(f Frame) {
+func (e *Entry) Publish(f Frame) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for ch := range e.subs {
@@ -245,20 +224,24 @@ func (e *entry) publish(f Frame) {
 // finish moves the entry to a terminal state and closes every
 // subscription channel (the subscribers then read the final Status).
 // It is a no-op if the entry is already terminal, so a DELETE racing the
-// worker's own completion settles on whoever locked first.
-func (e *entry) finish(state State, res *job.Result, errMsg string) {
+// worker's own completion settles on whoever locked first; it reports
+// whether this call made the transition.
+func (e *Entry) finish(state State, res *job.Result, errMsg string) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.finishLocked(state, res, errMsg)
+}
+
+func (e *Entry) finishLocked(state State, res *job.Result, errMsg string) bool {
 	if e.state.Terminal() {
-		return
+		return false
 	}
-	e.state = state
-	e.result = res
-	e.errMsg = errMsg
+	e.state, e.result, e.errMsg = state, res, errMsg
 	for ch := range e.subs {
 		close(ch)
 	}
 	e.subs = nil
+	return true
 }
 
 // store is the in-memory job table. Retention is bounded: once the
@@ -268,54 +251,41 @@ func (e *entry) finish(state State, res *job.Result, errMsg string) {
 // like an id that never existed.
 type store struct {
 	mu      sync.Mutex
+	prefix  string // id prefix: "j" on a daemon, "c" on a coordinator
 	seq     int64
 	maxJobs int
-	entries map[string]*entry
+	entries map[string]*Entry
 	order   []string // insertion order, for listing and eviction
 }
 
-func newStore(maxJobs int) *store {
-	return &store{maxJobs: maxJobs, entries: make(map[string]*entry)}
+func newStore(prefix string, maxJobs int) *store {
+	return &store{prefix: prefix, maxJobs: maxJobs, entries: make(map[string]*Entry)}
 }
 
-// add registers a new entry under a fresh id and returns it, evicting
-// the oldest settled entries beyond the retention bound.
-func (st *store) add(j job.Job, spec *job.Spec, key string, state State) *entry {
+// add registers e — under a fresh id unless it carries one recovered
+// from the journal — evicting the oldest settled entries beyond the
+// retention bound.
+func (st *store) add(e *Entry) *Entry {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.seq++
-	return st.addLocked(fmt.Sprintf("j%d", st.seq), j, spec, key, state)
+	if e.id == "" {
+		st.seq++
+		e.id = fmt.Sprintf("%s%d", st.prefix, st.seq)
+	}
+	st.entries[e.id] = e
+	st.order = append(st.order, e.id)
+	st.pruneLocked()
+	return e
 }
 
-// addWithID registers an entry under an id recovered from the journal
-// (the caller keeps the sequence ahead of recovered ids via ensureSeq).
-func (st *store) addWithID(id string, j job.Job, spec *job.Spec, key string, state State) *entry {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.addLocked(id, j, spec, key, state)
-}
-
-// ensureSeq raises the id sequence to at least n.
+// ensureSeq raises the id sequence to at least n, keeping fresh ids
+// ahead of recovered ones.
 func (st *store) ensureSeq(n int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if n > st.seq {
 		st.seq = n
 	}
-}
-
-func (st *store) addLocked(id string, j job.Job, spec *job.Spec, key string, state State) *entry {
-	e := &entry{
-		id:    id,
-		job:   j,
-		spec:  spec,
-		key:   key,
-		state: state,
-	}
-	st.entries[e.id] = e
-	st.order = append(st.order, e.id)
-	st.pruneLocked()
-	return e
 }
 
 // pruneLocked evicts oldest-first terminal entries while the table is
@@ -328,7 +298,7 @@ func (st *store) pruneLocked() {
 	kept := st.order[:0]
 	for i, id := range st.order {
 		e := st.entries[id]
-		if len(st.entries) > st.maxJobs && e.status().State.Terminal() {
+		if len(st.entries) > st.maxJobs && e.Status().State.Terminal() {
 			delete(st.entries, id)
 			continue
 		}
@@ -359,7 +329,7 @@ func (st *store) remove(id string) {
 }
 
 // get looks an entry up by id.
-func (st *store) get(id string) (*entry, bool) {
+func (st *store) get(id string) (*Entry, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	e, ok := st.entries[id]
@@ -373,27 +343,11 @@ func (st *store) len() int {
 	return len(st.entries)
 }
 
-// list snapshots every entry's Status in submission order.
-func (st *store) list() []Status {
-	st.mu.Lock()
-	ids := append([]string(nil), st.order...)
-	entries := make([]*entry, len(ids))
-	for i, id := range ids {
-		entries[i] = st.entries[id]
-	}
-	st.mu.Unlock()
-	out := make([]Status, len(entries))
-	for i, e := range entries {
-		out[i] = e.status()
-	}
-	return out
-}
-
-// all snapshots the entries themselves (drain walks them).
-func (st *store) all() []*entry {
+// all snapshots the entries in submission order.
+func (st *store) all() []*Entry {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]*entry, 0, len(st.order))
+	out := make([]*Entry, 0, len(st.order))
 	for _, id := range st.order {
 		out = append(out, st.entries[id])
 	}

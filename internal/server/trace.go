@@ -1,7 +1,6 @@
 package server
 
 import (
-	"log"
 	"net/http"
 	"time"
 )
@@ -38,42 +37,14 @@ type traceBody struct {
 	Events []TraceEvent `json:"events"`
 }
 
-// addTrace appends one event to the entry's in-memory trace.
-func (e *entry) addTrace(ev TraceEvent) {
-	e.mu.Lock()
-	e.trace = append(e.trace, ev)
-	e.mu.Unlock()
-}
-
-// traceEvents snapshots the trace.
-func (e *entry) traceEvents() []TraceEvent {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]TraceEvent(nil), e.trace...)
-}
-
-// traceEvent records one lifecycle event: in memory always, and in the
-// durable journal when there is one — as an un-fsynced append, so
-// traces ride the journal's ordering without adding fsyncs to the
-// serving path (losing the trace tail on kill -9 is acceptable; losing
-// admissions or results is not).
-func (s *Server) traceEvent(e *entry, event, detail string, steps int64) {
-	ev := TraceEvent{TS: time.Now().UTC(), Event: event, Detail: detail, Steps: steps}
-	e.addTrace(ev)
-	s.metrics.traces.Inc()
-	if s.persist != nil {
-		if err := s.persist.appendEvent(e.id, ev); err != nil {
-			// Log-worthy but never fatal: the in-memory trace still serves.
-			log.Printf("server: journal trace %s: %v", e.id, err)
-		}
-	}
-}
-
 // handleTrace serves a job's lifecycle trace in recording order.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.entryFor(w, r)
+func (f *Front) handleTrace(w http.ResponseWriter, r *http.Request) {
+	e, ok := f.entryFor(w, r)
 	if !ok {
 		return
 	}
-	WriteJSON(w, http.StatusOK, traceBody{ID: e.id, Events: e.traceEvents()})
+	e.mu.Lock()
+	events := append([]TraceEvent(nil), e.trace...)
+	e.mu.Unlock()
+	WriteJSON(w, http.StatusOK, traceBody{ID: e.id, Events: events})
 }
